@@ -8,8 +8,9 @@ zone-partition faults landing mid-traffic) three times:
 1. *baseline* — uninterrupted, no journal, ``--trace-out`` captured;
 2. *interrupted* — the same sweep with ``--resume JOURNAL``, launched
    as a subprocess, polled until the journal holds at least one trial
-   entry, then killed with SIGKILL (no chance to clean up — at worst a
-   torn final journal line, which recovery must truncate);
+   entry, then its process group is killed with SIGKILL (no chance to
+   clean up — at worst a torn final journal line, which recovery must
+   truncate);
 3. *resumed* — the same command again against the same journal, run to
    completion.
 
@@ -132,6 +133,7 @@ def interrupt_sweep(args: list[str], journal: Path, timeout: float) -> int:
         [sys.executable, "-m", "repro.cli", *args],
         cwd=REPO, env=cli_env(),
         stdout=subprocess.DEVNULL, stderr=subprocess.STDOUT,
+        start_new_session=True,
     )
     deadline = time.monotonic() + timeout
     try:
@@ -140,8 +142,12 @@ def interrupt_sweep(args: list[str], journal: Path, timeout: float) -> int:
                 break
             time.sleep(0.01)
     finally:
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGKILL)
+        # kill the whole process group: a SIGKILLed sweep's pool
+        # workers would otherwise outlive it, blocked on their queue
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
         proc.wait()
     return journaled_trials(journal)
 

@@ -37,7 +37,6 @@ from repro.attest.pcs import (
 )
 from repro.attest.tiers import (
     CollateralDoc,
-    CollateralTier,
     TierHit,
     TierStore,
     ZonedCollateral,
@@ -83,7 +82,6 @@ __all__ = [
     "DEFAULT_FRESHNESS",
     "RequestLog",
     "CollateralDoc",
-    "CollateralTier",
     "TierHit",
     "TierStore",
     "ZonedCollateral",

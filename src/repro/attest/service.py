@@ -37,7 +37,6 @@ harness folds the counters in afterwards.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -47,16 +46,7 @@ from repro.attest.pcs import (
     IntelPcs,
     Staleness,
 )
-# the protocol is imported under a private alias so the public
-# ``CollateralTier`` name stays free for the module-level
-# ``__getattr__`` deprecation shim below (the legacy name must keep
-# resolving to the per-tier document store, now TierStore)
-from repro.attest.tiers import (
-    CollateralDoc,
-    TierHit,
-    TierStore,
-)
-from repro.attest.tiers import CollateralTier as _CollateralTierProtocol
+from repro.attest.tiers import TierStore
 from repro.errors import AttestationError, CollateralTimeoutError
 from repro.guestos.context import ExecContext
 from repro.hw.nic import NicModel, lan_path
@@ -64,10 +54,6 @@ from repro.sim.rng import SimRng
 
 #: Cost of a host-local collateral lookup (shared-memory/IPC, no NIC).
 HOST_HIT_NS = 30_000.0
-
-#: Nominal cost a context-free CDN peek reports (the charged path
-#: prices the hop on a live NIC model instead).
-CDN_HIT_NS = 250_000.0
 
 #: Cost of resuming a cached attestation session (one keyed lookup
 #: plus a MAC over the session token — no collateral, no signatures).
@@ -81,7 +67,7 @@ DEFAULT_SESSION_TTL_NS = 3600 * 1e9
 _TIER_PRIORITY = ("origin", "stale", "cdn", "host", "warm")
 
 
-class TieredCollateral(_CollateralTierProtocol):
+class TieredCollateral:
     """``per-host → cluster CDN → origin`` collateral resolution.
 
     Implements the same four ``fetch_*`` methods as
@@ -95,15 +81,9 @@ class TieredCollateral(_CollateralTierProtocol):
     are consulted once more with relaxed standards: the freshest
     ``stale-but-acceptable`` copy is served — counted and attributed
     to the ``stale`` pseudo-tier — while ``reject``-grade copies are
-    evicted and the failure propagates.
-
-    As a :class:`~repro.attest.tiers.CollateralTier`, the uniform
-    ``fetch(doc, now_ns)`` surface resolves ``doc.name`` (an endpoint
-    key) against the cached tiers without a live execution context —
-    the peek the KBS admission path uses — while the charged
-    ``fetch_*(ctx)`` provider methods remain the authority for origin
-    refreshes.  Both paths feed the same standard ``hits`` counters;
-    the finer-grained legacy ``stats`` dict is kept alongside.
+    evicted and the failure propagates.  Tier hits, origin fetches,
+    stale serves and evictions are counted in :attr:`stats`, which
+    :meth:`emit` folds into a metrics sink.
     """
 
     _ENDPOINTS = {
@@ -118,7 +98,6 @@ class TieredCollateral(_CollateralTierProtocol):
                  freshness: FreshnessPolicy | None = None,
                  cdn_network: NicModel | None = None,
                  rng: SimRng | None = None) -> None:
-        super().__init__(serve_stale=True)
         self.pcs = pcs
         self.host = TierStore("host")
         self.cdn = cdn if cdn is not None else TierStore("cdn")
@@ -135,45 +114,6 @@ class TieredCollateral(_CollateralTierProtocol):
             "stale.served": 0,
             "evictions": 0,
         }
-
-    # -- the uniform tier surface ---------------------------------------
-
-    def fetch(self, doc: CollateralDoc, now_ns: float) -> TierHit | None:
-        """Resolve a cached document without a live context.
-
-        Walks host → CDN for a fresh copy (a CDN answer promotes into
-        the host tier, as the charged path does); when neither tier is
-        fresh, the freshest grace-window copy is served marked as the
-        ``stale`` pseudo-tier (subject to :attr:`serve_stale`).
-        ``None`` means only an origin fetch — the charged
-        ``fetch_*(ctx)`` path — can answer.
-        """
-        try:
-            endpoint, _payload = self._ENDPOINTS[doc.name]
-        except KeyError:
-            raise AttestationError(
-                f"unknown collateral document {doc.name!r}; known: "
-                f"{', '.join(sorted(self._ENDPOINTS))}") from None
-        for store, tier, cost_ns in ((self.host, "host", HOST_HIT_NS),
-                                     (self.cdn, "cdn", CDN_HIT_NS)):
-            entry = store.get(endpoint)
-            if entry is None:
-                continue
-            document, stored_at = entry
-            if self.freshness.classify(document, stored_at,
-                                       now_ns) is Staleness.FRESH:
-                self.hits[tier] += 1
-                if tier == "cdn":
-                    self.host.put(endpoint, document, stored_at)
-                return TierHit(tier=tier, cost_ns=cost_ns,
-                               document=document)
-        if self.serve_stale:
-            fallback = self._stale_fallback(endpoint, now_ns)
-            if fallback is not None:
-                self.hits["stale"] += 1
-                return TierHit(tier="stale", cost_ns=CDN_HIT_NS,
-                               document=fallback)
-        return None
 
     # -- the provider protocol ------------------------------------------
 
@@ -202,7 +142,6 @@ class TieredCollateral(_CollateralTierProtocol):
                                        now) is Staleness.FRESH:
                 ctx.charge_network(HOST_HIT_NS)
                 self.stats["host.hits"] += 1
-                self.hits["host"] += 1
                 return document
         entry = self.cdn.get(endpoint)
         if entry is not None:
@@ -212,7 +151,6 @@ class TieredCollateral(_CollateralTierProtocol):
                 ctx.charge_network(
                     self.cdn_network.round_trip(payload_bytes, self.rng))
                 self.stats["cdn.hits"] += 1
-                self.hits["cdn"] += 1
                 # promote into the host tier so the next lookup is local
                 self.host.put(endpoint, document, stored_at)
                 return document
@@ -222,15 +160,12 @@ class TieredCollateral(_CollateralTierProtocol):
             fallback = self._stale_fallback(endpoint, ctx.clock.now())
             if fallback is not None:
                 self.stats["stale.served"] += 1
-                self.hits["stale"] += 1
                 return fallback
-            self.hits["outage_failures"] += 1
             raise
         fetched_at = ctx.clock.now()
         self.host.put(endpoint, document, fetched_at)
         self.cdn.put(endpoint, document, fetched_at)
         self.stats["origin.fetches"] += 1
-        self.hits["origin"] += 1
         return document
 
     def _stale_fallback(self, endpoint: str, now_ns: float):
@@ -732,29 +667,3 @@ class LaunchAttestor:
                 return generate_snp_report(self._amd_sp, self._keys, ctx,
                                            nonce, guest_identity=vm_id)
         return build
-
-
-#: deprecation messages already issued from this module (warn once)
-_WARNED: set[str] = set()
-
-
-def __getattr__(name: str):
-    """Deprecated import-path shims.
-
-    ``CollateralTier`` used to name the per-tier document store
-    defined here; the API redesign moved that class to
-    :class:`repro.attest.tiers.TierStore` and gave the
-    ``CollateralTier`` name to the unified tier protocol.  The old
-    import path keeps working (returning the store, as before) with a
-    one-time :class:`DeprecationWarning`.
-    """
-    if name == "CollateralTier":
-        message = ("repro.attest.service.CollateralTier is deprecated; "
-                   "import TierStore (the per-tier document store) or "
-                   "the CollateralTier protocol from repro.attest.tiers")
-        if message not in _WARNED:
-            _WARNED.add(message)
-            warnings.warn(message, DeprecationWarning, stacklevel=2)
-        return TierStore
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

@@ -1072,6 +1072,10 @@ class ParallelTrialExecutor:
     trials, so a poisoned spec cannot respawn-loop forever.
     """
 
+    #: wall-clock bound (s) on waiting for a torn-down pool's
+    #: management thread
+    TEARDOWN_JOIN_S = 5.0
+
     def __init__(self, jobs: int, mp_context=None,
                  heartbeat_s: float | None = None,
                  max_respawns: int = 2) -> None:
@@ -1114,7 +1118,7 @@ class ParallelTrialExecutor:
                         respawns, pending, specs,
                         reason="no worker heartbeat "
                                f"within {self.heartbeat_s:g}s")
-                    pool = self._replace_pool(pool, kill=True)
+                    pool = self._replace_pool(pool)
                     futures = self._submit(pool, fn, specs, pending,
                                            results, lookup)
                     continue
@@ -1140,7 +1144,7 @@ class ParallelTrialExecutor:
                     respawns = self._account_respawn(
                         respawns, pending, specs,
                         reason="a worker process died", cause=broken)
-                    pool = self._replace_pool(pool, kill=False)
+                    pool = self._replace_pool(pool)
                     futures = self._submit(pool, fn, specs, pending,
                                            results, lookup)
         finally:
@@ -1192,28 +1196,32 @@ class ParallelTrialExecutor:
             ) from cause
         return respawns + 1
 
-    def _replace_pool(self, pool: ProcessPoolExecutor,
-                      kill: bool) -> ProcessPoolExecutor:
-        """Tear the old pool down and spawn a fresh one.
-
-        ``kill=True`` reaps hung workers first — a stuck worker never
-        returns, and leaving it alive would wedge interpreter exit.
-        """
-        if kill:
-            self._kill_workers(pool)
-        pool.shutdown(wait=False, cancel_futures=True)
+    def _replace_pool(self,
+                      pool: ProcessPoolExecutor) -> ProcessPoolExecutor:
+        """Tear the old pool down and spawn a fresh one."""
+        self._abandon_pool(pool)
         return self._new_pool()
 
     def _abandon_pool(self, pool: ProcessPoolExecutor) -> None:
-        """Final teardown on every exit from ``map``.
+        """Tear down a pool ``map`` no longer uses: on a respawn and on
+        every exit from ``map``.
 
         Workers are killed unconditionally: on the success path they
-        are idle (nothing is lost), and on the give-up path a hung
-        worker left alive would block interpreter exit when
+        are idle, on a dead-worker respawn the pool already lost them,
+        and a hung worker left alive would block interpreter exit when
         ``concurrent.futures`` joins its management threads.
         """
         self._kill_workers(pool)
+        manager = getattr(pool, "_executor_manager_thread", None)
         pool.shutdown(wait=False, cancel_futures=True)
+        # Let the pool's management thread finish its teardown now.  It
+        # closes the pool's wakeup pipe while interpreter exit writes to
+        # it unlocked (Python < 3.12); racing the two prints an
+        # "Exception ignored ... Bad file descriptor" traceback on
+        # stderr.  The workers are dead, so this join is short; the
+        # timeout only bounds a pathological teardown.
+        if manager is not None:
+            manager.join(timeout=self.TEARDOWN_JOIN_S)
 
     @staticmethod
     def _kill_workers(pool: ProcessPoolExecutor) -> None:

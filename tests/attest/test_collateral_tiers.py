@@ -1,172 +1,99 @@
-"""The unified CollateralTier protocol and its deprecation shims.
+"""The zone-scale collateral tiers (:class:`ZonedCollateral`).
 
-Exactly one collateral-tier implementation per economics model
-remains: :class:`~repro.attest.service.TieredCollateral` (documents
-over a live context) and :class:`~repro.attest.tiers.ZonedCollateral`
-(fixed zone-scale costs), both under the
-:class:`~repro.attest.tiers.CollateralTier` ABC with the same
-``fetch(doc, now_ns)`` surface, tier labels, and counters.  The old
-import paths stay alive via warn-once shims.
+The cluster resolves secure cold-boot collateral through
+:class:`~repro.attest.tiers.ZonedCollateral`: host cache → zone CDN
+replica → WAN origin, with stale-serving from a warm replica during an
+origin outage.  Its six ``hits`` keys are what ``ClusterReport``
+publishes as ``collateral``.  The verifier's document cache,
+:class:`~repro.attest.service.TieredCollateral`, is covered in
+``test_service.py``.
 """
 
-import warnings
-
-import pytest
-
-from repro.attest import IntelPcs, TieredCollateral
 from repro.attest.tiers import (
     CDN_TIER_NS,
     HOST_TIER_NS,
     ORIGIN_TIER_NS,
     CollateralDoc,
-    CollateralTier,
-    TierHit,
-    TierStore,
     ZonedCollateral,
 )
-from repro.guestos.context import ExecContext
-from repro.hw.machine import xeon_gold_5515
-from repro.sim.rng import SimRng
+from repro.core.cluster import DEFAULT_ZONES, build_fleet
 
 
-def make_ctx(seed=1):
-    return ExecContext(machine=xeon_gold_5515(),
-                       rng=SimRng(seed, "tiers-ctx"))
+def doc(host="h1", zone="z1", platform="tdx"):
+    return CollateralDoc(platform=platform, host=host, zone=zone)
 
 
 class TestProtocol:
-    def test_both_implementations_share_the_abc(self):
-        pcs = IntelPcs(SimRng(1, "infra"))
-        assert isinstance(TieredCollateral(pcs), CollateralTier)
-        assert isinstance(ZonedCollateral(("z1",)), CollateralTier)
-
-    def test_abc_is_abstract(self):
-        with pytest.raises(TypeError):
-            CollateralTier()
+    """The counter keys every sweep's ``ClusterReport.collateral`` holds."""
 
     def test_standard_hit_keys(self):
         tier = ZonedCollateral(("z1",))
-        assert set(tier.hits) == set(CollateralTier.HIT_KEYS)
+        assert tuple(tier.hits) == ZonedCollateral.HIT_KEYS
         assert all(count == 0 for count in tier.hits.values())
-
-    def test_emit_folds_counters_into_sink(self):
-        class Sink:
-            def __init__(self):
-                self.counts = {}
-
-            def count(self, name, value=1):
-                self.counts[name] = self.counts.get(name, 0) + value
-
-        tier = ZonedCollateral(("z1",))
-        tier.fetch(CollateralDoc(platform="tdx", host="h1", zone="z1"),
-                   0.0)
-        sink = Sink()
-        tier.emit(sink)
-        assert sink.counts["collateral.origin"] == 1
 
 
 class TestZonedCollateral:
     def test_cold_fetch_warms_cdn_then_host(self):
         tier = ZonedCollateral(("z1",))
-        doc = CollateralDoc(platform="tdx", host="h1", zone="z1")
-        first = tier.fetch(doc, 0.0)
+        first = tier.fetch(doc(), 0.0)
         assert first.tier == "origin"
         assert first.cost_ns == ORIGIN_TIER_NS
         # same zone, different host: CDN is warm now
-        other = tier.fetch(CollateralDoc(platform="tdx", host="h2",
-                                         zone="z1"), 0.0)
+        other = tier.fetch(doc(host="h2"), 0.0)
         assert other.tier == "cdn" and other.cost_ns == CDN_TIER_NS
         # same host again: host tier
-        again = tier.fetch(doc, 0.0)
+        again = tier.fetch(doc(), 0.0)
         assert again.tier == "host" and again.cost_ns == HOST_TIER_NS
         assert tier.hits["origin"] == 1
         assert tier.hits["cdn"] == 1
         assert tier.hits["host"] == 1
 
+    def test_tiers_warm_on_the_way_through(self):
+        tier = ZonedCollateral(("z1", "z2"))
+        # cold everywhere: origin, warming CDN + host
+        assert tier.fetch(doc(), 0.0).cost_ns == ORIGIN_TIER_NS
+        # same host again: host tier
+        assert tier.fetch(doc(), 0.0).cost_ns == HOST_TIER_NS
+        assert tier.hits == {"host": 1, "cdn": 0, "origin": 1,
+                             "stale": 0, "outage_failures": 0,
+                             "local": 0}
+
+    def test_cdn_tier_for_zone_sibling(self):
+        tier = ZonedCollateral(("z1", "z2"))
+        tier.fetch(doc(host="a"), 0.0)                           # origin
+        assert tier.fetch(doc(host="b"), 0.0).tier == "cdn"
+        # a host in another zone does not see z1's replica
+        assert tier.fetch(doc(host="c", zone="z2"), 0.0).tier == "origin"
+
+    def test_outage_serves_stale_when_cdn_warm(self):
+        tier = ZonedCollateral(("z1",))
+        tier.fetch(doc(), 0.0)                                   # warm CDN
+        tier.outages["z1"] = (10.0, 100.0)
+        hit = tier.fetch(doc(host="sibling"), 50.0)
+        assert hit.tier == "stale" and hit.cost_ns == CDN_TIER_NS
+        assert tier.hits["stale"] == 1
+        # the window is half-open: at its end the origin answers again
+        assert tier.fetch(doc(host="late"), 100.0).tier == "cdn"
+
+    def test_outage_with_cold_cdn_fails_the_boot(self):
+        tier = ZonedCollateral(("z1",))
+        tier.outages["z1"] = (0.0, 100.0)
+        assert tier.fetch(doc(), 50.0) is None
+        assert tier.hits["outage_failures"] == 1
+        assert not tier.cdn_warm and not tier.host_warm
+
     def test_non_networked_platform_is_local_and_free(self):
         tier = ZonedCollateral(("z1",))
-        hit = tier.fetch(CollateralDoc(platform="cca", host="h1",
-                                       zone="z1"), 0.0)
+        hit = tier.fetch(doc(platform="cca"), 0.0)
         assert hit.tier == "local" and hit.cost_ns == 0.0
+        assert tier.hits["local"] == 1
 
-
-class TestServiceTierFetch:
-    def test_context_free_peek_resolves_cached_tiers(self):
-        pcs = IntelPcs(SimRng(5, "infra"))
-        cdn = TierStore("test-cdn")
-        collateral = TieredCollateral(pcs, cdn=cdn)
-        ctx = make_ctx(2)
-        # warm the tiers through the charged provider path
-        collateral.fetch_root_crl(ctx)
-        hit = collateral.fetch(CollateralDoc(name="root_crl"),
-                               ctx.clock.now())
-        assert isinstance(hit, TierHit)
-        assert hit.tier in ("host", "cdn")
-        assert hit.document is not None
-        assert collateral.hits[hit.tier] >= 1
-
-    def test_peek_misses_cold_cache(self):
-        pcs = IntelPcs(SimRng(6, "infra"))
-        collateral = TieredCollateral(pcs)
-        assert collateral.fetch(CollateralDoc(name="root_crl"),
-                                0.0) is None
-
-
-class TestDeprecationShims:
-    def test_service_collateraltier_alias_warns_once(self):
-        import repro.attest.service as service_mod
-        from repro.core.gateway import _WARNED
-
-        _WARNED.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            alias = service_mod.CollateralTier
-        assert alias is TierStore
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        # second access: warn-once
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert service_mod.CollateralTier is TierStore
-        assert not caught
-
-    def test_service_module_unknown_attr_still_raises(self):
-        import repro.attest.service as service_mod
-
-        with pytest.raises(AttributeError):
-            service_mod.NoSuchThing
-
-    def test_zone_collateral_shim_warns_and_delegates(self):
-        from repro.core.cluster.collateral import ZoneCollateral
-        from repro.core.cluster.profiles import build_fleet
-        from repro.core.cluster.node import ClusterNode
-        from repro.core.gateway import _WARNED
-
-        _WARNED.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = ZoneCollateral(("z1",))
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-
-        node = ClusterNode(build_fleet(1, seed=3)[0])
-        cost = shim.fetch_ns(node, "tdx", 0.0)
-        assert cost == ORIGIN_TIER_NS
-        # legacy behaviour preserved: warmth mirrored onto the node
-        assert node.host_collateral["tdx"] is True
-        assert shim.fetch_ns(node, "tdx", 0.0) == HOST_TIER_NS
-        assert shim.hits["origin"] == 1 and shim.hits["host"] == 1
-
-    def test_zone_collateral_keys_warmth_by_node_identity(self):
-        from repro.core.cluster.collateral import ZoneCollateral
-        from repro.core.cluster.profiles import build_fleet
-        from repro.core.cluster.node import ClusterNode
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            shim = ZoneCollateral(("z1",))
-        profile = build_fleet(1, seed=4)[0]
-        one, two = ClusterNode(profile), ClusterNode(profile)
-        assert shim.fetch_ns(one, "tdx", 0.0) == ORIGIN_TIER_NS
-        # a distinct node with the same profile is not host-warm
-        assert shim.fetch_ns(two, "tdx", 0.0) == CDN_TIER_NS
+    def test_cca_has_nothing_to_fetch(self):
+        # a fleet host, addressed the way the cluster gateway does
+        profile = build_fleet(1)[0]
+        tier = ZonedCollateral(DEFAULT_ZONES)
+        hit = tier.fetch(CollateralDoc(platform="cca", host=profile.name,
+                                       zone=profile.zone), 0.0)
+        assert hit.cost_ns == 0.0
+        assert tier.hits["local"] == 1
+        assert not tier.cdn_warm and not tier.host_warm

@@ -1,10 +1,7 @@
-"""The redesigned ConfBench facade: uniform signatures + telemetry."""
-
-import warnings
+"""The ConfBench facade: uniform keyword-only signatures + telemetry."""
 
 import pytest
 
-from repro.core import gateway as gateway_module
 from repro.core.api import ConfBench
 from repro.core.config import GatewayConfig, PlatformEntry
 from repro.errors import GatewayError
@@ -22,13 +19,6 @@ def bench():
     bench = ConfBench(config=small_config())
     bench.upload("cpustress")
     return bench
-
-
-@pytest.fixture(autouse=True)
-def reset_warn_once():
-    gateway_module._WARNED.clear()
-    yield
-    gateway_module._WARNED.clear()
 
 
 class TestUniformTrialsSemantics:
@@ -52,37 +42,19 @@ class TestUniformTrialsSemantics:
         assert summary.ratio > 0
 
 
-class TestLegacyPositionalShim:
-    def test_positional_platform_warns_once(self, bench):
-        with pytest.warns(DeprecationWarning, match="positional platform"):
-            records = bench.invoke("cpustress", "lua", "tdx", False,
-                                   None, 1)
-        assert records[0].secure is False
-        # the second identical call is silent (warn-once)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            bench.invoke("cpustress", "lua", "tdx", False, None, 1)
+class TestKeywordOnlySignatures:
+    def test_request_parameters_are_keyword_only(self, bench):
+        def probe(kernel):
+            return kernel.sys_getpid()
 
-    def test_keyword_calls_do_not_warn(self, bench):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            bench.invoke("cpustress", "lua", platform="tdx", trials=1)
-
-    def test_too_many_positionals_is_type_error(self, bench):
-        with pytest.raises(TypeError, match="at most 4"):
-            bench.invoke("cpustress", "lua", "tdx", True, None, 1, "extra")
-
-    def test_positional_keyword_conflict_is_type_error(self, bench):
-        with pytest.raises(TypeError, match="multiple values"), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            bench.invoke("cpustress", "lua", "tdx", platform="sev-snp")
-
-    def test_invoke_native_shim_delegates(self, bench):
-        with pytest.warns(DeprecationWarning, match="invoke_native"):
-            records = bench.gateway.invoke_native(
-                "probe", lambda kernel: kernel.sys_getpid(), "tdx", True, 2)
-        assert len(records) == 2
+        with pytest.raises(TypeError):
+            bench.invoke("cpustress", "lua", "tdx")
+        with pytest.raises(TypeError):
+            bench.run_classic("probe", probe, "tdx")
+        with pytest.raises(TypeError):
+            bench.measure_overhead("cpustress", "lua", "tdx")
+        with pytest.raises(TypeError):
+            bench.measure_classic_overhead("probe", probe, "tdx")
 
 
 class TestFacadeTelemetry:

@@ -2,9 +2,9 @@
 
 Each class covers one module of :mod:`repro.core.cluster` in
 isolation — fleet construction, node lifecycle, placement policy,
-health probing, the brownout ladder, zone collateral, and the traffic
-generator.  End-to-end gateway sweeps live in
-``test_cluster_gateway.py``.
+health probing, the brownout ladder, and the traffic generator.
+End-to-end gateway sweeps live in ``test_cluster_gateway.py``; the
+zone collateral tiers in ``tests/attest/test_collateral_tiers.py``.
 """
 
 import pytest
@@ -20,13 +20,7 @@ from repro.core.cluster import (
     TenantMix,
     TrafficGenerator,
     TrafficSpec,
-    ZoneCollateral,
     build_fleet,
-)
-from repro.core.cluster.collateral import (
-    CDN_TIER_NS,
-    HOST_TIER_NS,
-    ORIGIN_TIER_NS,
 )
 from repro.errors import GatewayError
 
@@ -233,49 +227,6 @@ class TestBrownoutLadder:
             OverloadController(queue_cap=0)
         with pytest.raises(GatewayError):
             OverloadController(queue_cap=10, telemetry_at=0.9, queue_at=0.5)
-
-
-class TestZoneCollateral:
-    def test_tiers_warm_on_the_way_through(self):
-        nodes = [ClusterNode(p) for p in build_fleet(2)]
-        collateral = ZoneCollateral(DEFAULT_ZONES)
-        # cold everywhere: origin, warming CDN + host
-        assert collateral.fetch_ns(nodes[0], "tdx", 0.0) == ORIGIN_TIER_NS
-        # same node again: host tier
-        assert collateral.fetch_ns(nodes[0], "tdx", 0.0) == HOST_TIER_NS
-        assert collateral.hits == {"host": 1, "cdn": 0, "origin": 1,
-                                   "stale": 0, "outage_failures": 0,
-                                   "local": 0}
-
-    def test_cdn_tier_for_zone_sibling(self):
-        fleet = build_fleet(6)
-        same_zone = [p for p in fleet if p.zone == fleet[0].zone]
-        a, b = ClusterNode(same_zone[0]), ClusterNode(same_zone[1])
-        collateral = ZoneCollateral(DEFAULT_ZONES)
-        collateral.fetch_ns(a, "tdx", 0.0)                       # origin
-        assert collateral.fetch_ns(b, "tdx", 0.0) == CDN_TIER_NS
-
-    def test_outage_serves_stale_when_cdn_warm(self):
-        node = ClusterNode(build_fleet(1)[0])
-        sibling = ClusterNode(build_fleet(1)[0])
-        collateral = ZoneCollateral(DEFAULT_ZONES)
-        collateral.fetch_ns(node, "tdx", 0.0)                    # warm CDN
-        collateral.outages[node.profile.zone] = (10.0, 100.0)
-        assert collateral.fetch_ns(sibling, "tdx", 50.0) == CDN_TIER_NS
-        assert collateral.hits["stale"] == 1
-
-    def test_outage_with_cold_cdn_fails_the_boot(self):
-        node = ClusterNode(build_fleet(1)[0])
-        collateral = ZoneCollateral(DEFAULT_ZONES)
-        collateral.outages[node.profile.zone] = (0.0, 100.0)
-        assert collateral.fetch_ns(node, "tdx", 50.0) is None
-        assert collateral.hits["outage_failures"] == 1
-
-    def test_cca_has_nothing_to_fetch(self):
-        node = ClusterNode(build_fleet(1)[0])
-        collateral = ZoneCollateral(DEFAULT_ZONES)
-        assert collateral.fetch_ns(node, "cca", 0.0) == 0.0
-        assert collateral.hits["local"] == 1
 
 
 class TestTraffic:

@@ -1,10 +1,11 @@
 """Full coverage of the versioned REST surface and its error envelope.
 
 Runs a real ``RestServer`` on an ephemeral port and exercises every
-route twice — through the legacy unprefixed path and the ``/v1``
-alias — plus the uniform error envelope on each failure class.
+``/v1`` route, the 404 on unprefixed paths, the uniform error envelope
+on each failure class, and hostile request framing and field types.
 """
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -14,6 +15,7 @@ import pytest
 from repro.core.client import ConfBenchClient
 from repro.core.config import GatewayConfig, PlatformEntry
 from repro.core.gateway import Gateway
+from repro.core import rest
 from repro.core.rest import RestServer
 
 
@@ -58,15 +60,19 @@ def assert_envelope(payload, code):
 
 
 class TestRouteAliases:
-    """Every resource answers identically on /x and /v1/x."""
+    """Resources answer on /v1/x only; the unprefixed /x is no alias."""
 
-    @pytest.mark.parametrize("path", ["/health", "/platforms", "/functions",
-                                      "/metrics", "/stats"])
-    def test_get_routes_legacy_equals_v1(self, server, path):
-        legacy = call(server, "GET", path)
-        versioned = call(server, "GET", f"/v1{path}")
-        assert legacy[0] == versioned[0] == 200
-        assert legacy[2] == versioned[2]
+    @pytest.mark.parametrize("method, path", [
+        ("GET", "/health"), ("GET", "/platforms"), ("GET", "/functions"),
+        ("POST", "/functions"), ("POST", "/invoke"), ("GET", "/metrics"),
+        ("GET", "/stats"), ("POST", "/cluster/run"),
+        ("GET", "/cluster/report"), ("POST", "/kbs/release"),
+    ])
+    def test_unprefixed_path_is_404(self, server, method, path):
+        body = {} if method == "POST" else None
+        status, _, payload = call(server, method, path, body=body)
+        assert status == 404
+        assert_envelope(payload, "not_found")
 
     def test_health_payload(self, server):
         assert call(server, "GET", "/v1/health")[2] == {"status": "ok"}
@@ -75,17 +81,15 @@ class TestRouteAliases:
         names = {p["name"] for p in call(server, "GET", "/v1/platforms")[2]}
         assert names == {"tdx", "novm"}
 
-    @pytest.mark.parametrize("prefix", ["", "/v1"])
-    def test_upload_on_both_paths(self, server, prefix):
-        status, _, payload = call(server, "POST", f"{prefix}/functions",
+    def test_upload(self, server):
+        status, _, payload = call(server, "POST", "/v1/functions",
                                   body={"name": "factors"})
         assert status == 201
         assert payload == {"uploaded": "factors"}
-        assert "factors" in call(server, "GET", f"{prefix}/functions")[2]
+        assert "factors" in call(server, "GET", "/v1/functions")[2]
 
-    @pytest.mark.parametrize("prefix", ["", "/v1"])
-    def test_invoke_on_both_paths(self, server, prefix):
-        status, _, records = call(server, "POST", f"{prefix}/invoke",
+    def test_invoke(self, server):
+        status, _, records = call(server, "POST", "/v1/invoke",
                                   body={"function": "cpustress",
                                         "language": "lua", "trials": 1})
         assert status == 200
@@ -123,10 +127,10 @@ class TestErrorEnvelope:
         assert headers["Allow"] == "GET, POST"
 
     def test_malformed_json_is_400(self, server):
-        status, _, payload = call(server, "POST", "/v1/invoke",
-                                  raw=b"{not json")
-        assert status == 400
-        assert_envelope(payload, "bad_request")
+        for raw in (b"{not json", b"\x80{}"):      # the second is not UTF-8
+            status, _, payload = call(server, "POST", "/v1/invoke", raw=raw)
+            assert status == 400
+            assert_envelope(payload, "bad_request")
 
     def test_non_object_body_is_400(self, server):
         status, _, payload = call(server, "POST", "/v1/invoke",
@@ -175,14 +179,6 @@ class TestStrictV1Invoke:
         assert status == 400
         assert "bogus" in payload["error"]["message"]
 
-    def test_unknown_field_ignored_on_legacy(self, server):
-        status, _, records = call(server, "POST", "/invoke",
-                                  body={"function": "cpustress",
-                                        "language": "lua", "trials": 1,
-                                        "bogus": 1})
-        assert status == 200
-        assert len(records) == 1
-
 
 class TestTelemetryRoutes:
     def test_metrics_reflects_invocations(self, server):
@@ -224,3 +220,51 @@ class TestClientV1:
         detail = ConfBenchClient._error_detail(b'{"error": "plain text"}')
         assert detail == "plain text"
         assert ConfBenchClient._error_detail(b"not json") == ""
+
+
+def call_with_length(server, length, body=b""):
+    """POST /v1/invoke with a hand-written Content-Length and ``body``."""
+    connection = http.client.HTTPConnection("127.0.0.1", server.port,
+                                            timeout=10)
+    try:
+        connection.putrequest("POST", "/v1/invoke")
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", length)
+        connection.endheaders(body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class TestHostileInput:
+    """Hostile framing and field types get a 400 envelope, never a hang,
+    a dropped connection, or a silently coerced request."""
+
+    @pytest.mark.parametrize("length", ["abc", "-1", str(10 ** 12)])
+    def test_bad_content_length_is_400(self, server, length):
+        status, payload = call_with_length(server, length)
+        assert status == 400
+        assert_envelope(payload, "bad_request")
+        assert "Content-Length" in payload["error"]["message"]
+
+    def test_body_shorter_than_content_length_is_400(self, server,
+                                                     monkeypatch):
+        monkeypatch.setattr(rest._Handler, "timeout", 0.5)
+        status, payload = call_with_length(server, "1000000", body=b"{}")
+        assert status == 400
+        assert_envelope(payload, "bad_request")
+        assert "Content-Length" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("platform", ["tdx"]), ("secure", "false"), ("language", 3),
+    ], ids=["platform", "secure", "language"])
+    def test_wrong_field_type_is_400_and_runs_nothing(self, server, field,
+                                                      value):
+        before = call(server, "GET", "/v1/stats")[2]
+        body = {"function": "cpustress", "language": "lua", field: value}
+        status, _, payload = call(server, "POST", "/v1/invoke", body=body)
+        assert status == 400
+        assert_envelope(payload, "bad_request")
+        assert f"'{field}'" in payload["error"]["message"]
+        assert call(server, "GET", "/v1/stats")[2] == before

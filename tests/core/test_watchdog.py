@@ -12,6 +12,7 @@ import json
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -218,6 +219,23 @@ class TestWorkerDeathRespawn:
             results = runner.run(plan)
             assert journal.recorded == 2
         assert all(r.output == {"survived": True} for r in results)
+
+
+def manager_threads():
+    return {thread for thread in threading.enumerate()
+            if type(thread).__name__ == "_ExecutorManagerThread"}
+
+
+class TestPoolTeardown:
+    def test_map_returns_after_the_pool_manager_exits(self):
+        # a manager thread still tearing down at interpreter exit races
+        # concurrent.futures' exit hook and prints a traceback to stderr
+        before = manager_threads()
+        executor = ParallelTrialExecutor(jobs=2, mp_context=FORK)
+        results = executor.map(execute_trial,
+                               [faas_spec(trial=0), faas_spec(trial=1)])
+        assert len(results) == 2
+        assert manager_threads() <= before
 
 
 class TestResumeUnderFaults:

@@ -86,7 +86,7 @@ class TestRestApi:
 
     def test_malformed_json_is_400(self, server):
         request = urllib.request.Request(
-            f"http://127.0.0.1:{server.port}/invoke",
+            f"http://127.0.0.1:{server.port}/v1/invoke",
             data=b"{not json",
             method="POST",
             headers={"Content-Type": "application/json"},
@@ -97,7 +97,7 @@ class TestRestApi:
 
     def test_upload_requires_name(self, server):
         request = urllib.request.Request(
-            f"http://127.0.0.1:{server.port}/functions",
+            f"http://127.0.0.1:{server.port}/v1/functions",
             data=json.dumps({}).encode(),
             method="POST",
             headers={"Content-Type": "application/json"},
