@@ -233,7 +233,9 @@ def call_targets(unit: FunctionUnit, index: SymbolIndex,
     class.  Instantiating a project class yields either the class
     qualname or (``expand_classes``) all of its methods — coarse, with
     no inheritance resolution, matching how the purity pass has always
-    treated constructor calls.
+    treated constructor calls.  With ``expand_classes``, a call through
+    a project class (``Cls.method(...)``, typically an alternate
+    constructor) counts like instantiating it.
     """
     table = index.import_tables[unit.module.name]
     local = unit.locals
@@ -248,6 +250,12 @@ def call_targets(unit: FunctionUnit, index: SymbolIndex,
                 targets.extend(index.classes[qualified])
             else:
                 targets.append(qualified)
+
+    def add_method_target(qualified: str) -> None:
+        add_target(qualified)
+        owner = index.canonical(qualified.rpartition(".")[0])
+        if expand_classes and owner in index.classes:
+            targets.extend(index.classes[owner])
 
     for node in scope_nodes(unit.node):
         if not isinstance(node, ast.Call):
@@ -270,10 +278,11 @@ def call_targets(unit: FunctionUnit, index: SymbolIndex,
                 continue
             resolved = table.resolve(func)
             if resolved:
-                add_target(resolved)
+                add_method_target(resolved)
             # ClassName.method through a same-module class.
             if isinstance(base, ast.Name) and base.id not in local:
-                add_target(f"{unit.module.name}.{base.id}.{func.attr}")
+                add_method_target(
+                    f"{unit.module.name}.{base.id}.{func.attr}")
     return targets
 
 

@@ -16,7 +16,9 @@ The pass walks the project call graph built by
 - calls are resolved syntactically through import aliases (including
   package ``__init__`` re-exports) and same-module names;
 - instantiating a project class marks all its methods reachable
-  (coarse, no inheritance resolution);
+  (coarse, no inheritance resolution), and so does calling a method
+  through the class (``Cls.for_language(...)``: an alternate
+  constructor instantiates it too);
 - a nested ``def`` (the workload-body closures the factories return)
   is reachable whenever its enclosing function is.
 
@@ -36,7 +38,8 @@ Inside reachable functions it reports:
   analyzer cannot prove — review and baseline, or restructure.
 
 Intentional pure-function memo caches (e.g. the RSA keygen cache in
-``repro.attest.crypto``) carry ``# confbench: allow[purity]`` pragmas
+``repro.attest.crypto``, the FaaS op-stream recordings in
+``repro.core.launcher``) carry ``# confbench: allow[purity]`` pragmas
 with a justification; anything else is a bug.
 """
 

@@ -113,8 +113,7 @@ class ZonedCollateral:
     HIT_KEYS = ("host", "cdn", "origin", "stale", "outage_failures",
                 "local")
 
-    def __init__(self, zones: tuple[str, ...] = ()) -> None:
-        self.zones = tuple(zones)
+    def __init__(self) -> None:
         #: tier label -> resolutions answered by that tier
         self.hits: dict[str, int] = {key: 0 for key in self.HIT_KEYS}
         #: zone -> (start_ns, end_ns) origin blackout window

@@ -238,7 +238,7 @@ class ClusterGateway:
         self.nodes = [ClusterNode(profile) for profile in self.profiles]
         self.zones = tuple(dict.fromkeys(p.zone for p in self.profiles))
         self.scheduler = PlacementScheduler(self.nodes)
-        self.collateral = ZonedCollateral(self.zones)
+        self.collateral = ZonedCollateral()
         #: optional :class:`~repro.supply.ImagePolicy`: every cold boot
         #: additionally pays the fixed supply-chain tax (pull strategy
         #: + key release on secure boots); ``None`` keeps the legacy

@@ -20,6 +20,22 @@ class ClockError(SimulationError):
     """Attempted to move a virtual clock backwards or misuse it."""
 
 
+class RecordingAccessError(SimulationError):
+    """Code being recorded touched pricing state of the context.
+
+    A recorded op stream is priced later, once per trial, so the code
+    that emits it may not read the clock, the noise stream, the ledger
+    or anything else only a pricing context has.  ``attribute`` names
+    what was touched.
+    """
+
+    def __init__(self, attribute: str) -> None:
+        super().__init__(
+            f"op recording read ctx.{attribute}: emission must not "
+            "depend on pricing state")
+        self.attribute = attribute
+
+
 class HardwareError(ConfBenchError):
     """Errors from the simulated machine substrate."""
 

@@ -11,13 +11,20 @@ costs, and charges the ledger while advancing the clock.
 implement.  The default :data:`NATIVE_PROFILE` is a passthrough (all
 multipliers 1.0, no transitions), used by the normal — non
 confidential — VM so that secure/normal ratios have a clean baseline.
+
+:class:`OpRecorder` stands in for a context while an op stream is
+*recorded*: it appends each operation to one :class:`OpBatch` instead
+of pricing it, so the stream can be priced later — once per trial —
+with :meth:`ExecContext.run_batch`.  Emission therefore may not read
+pricing state; the recorder raises :class:`RecordingAccessError` when
+it does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import SimulationError
+from repro.errors import RecordingAccessError, SimulationError
 from repro.hw.machine import Machine
 from repro.hw.perfcounters import PerfCounters
 from repro.sim.clock import VirtualClock
@@ -390,6 +397,11 @@ class ExecContext:
             (cost_ns,) = op.args
             scratch.vm_transitions += 1
             charges.append((CostCategory.VM_TRANSITION, cost_ns))
+        elif kind == "halt":
+            if profile.halt_transition_ns > 0:
+                scratch.vm_transitions += 1
+                charges.append((CostCategory.VM_TRANSITION,
+                                profile.halt_transition_ns))
         elif kind == "crypto":
             (nanos,) = op.args
             charges.append((CostCategory.CRYPTO, nanos))
@@ -423,6 +435,9 @@ class ExecContext:
             return self.syscall_entry(*args)
         if kind == "vm_transition":
             return self.vm_transition(*args)
+        if kind == "halt":
+            halt_ns = self.profile.halt_transition_ns
+            return self.vm_transition(halt_ns) if halt_ns > 0 else 0.0
         if kind == "crypto":
             return self.crypto(*args)
         if kind == "network_ns":
@@ -471,3 +486,81 @@ class ExecContext:
             self.profile.simulator_multiplier, self._run_noise,
             self._op_noise_sigma, self.rng.raw_random(),
         ).run(program)
+
+
+#: Context attributes only a pricing context has; reading one while
+#: recording raises :class:`RecordingAccessError`.
+PRICING_STATE = frozenset({
+    "clock", "rng", "ledger", "profile", "machine", "faults", "trace",
+})
+
+
+class OpRecorder:
+    """Records an op stream in place of an :class:`ExecContext`.
+
+    A guest kernel or runtime session bound to a recorder emits into
+    :attr:`ops` instead of charging: every ``cpu_execute`` /
+    ``mem_alloc`` / ``mem_copy`` / ``disk_*`` / ``syscall_entry`` /
+    ``vm_transition`` / ``startup`` call and every
+    :meth:`run_batch` entry becomes the same op :meth:`ExecContext.price_op`
+    prices.  Running :attr:`ops` through a context's ``run_batch`` then
+    charges exactly what issuing the calls on that context would have
+    (the op-stream byte-identity contract), on any platform.
+
+    Nothing is priced while recording, so each method returns ``0.0``.
+    The recorder has no clock, noise stream, ledger, profile, machine,
+    fault context or trace; touching one raises
+    :class:`RecordingAccessError` naming it.
+    """
+
+    __slots__ = ("ops",)
+
+    def __init__(self) -> None:
+        self.ops = OpBatch()
+
+    def __getattr__(self, name: str):
+        if name in PRICING_STATE:
+            raise RecordingAccessError(name)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def replay_op(self, op: Op) -> float:
+        """Record one op."""
+        self.ops.add(op)
+        return 0.0
+
+    def cpu_execute(self, instructions: int, memory_references: int = 0,
+                    working_set_bytes: int = 0) -> float:
+        return self.replay_op(Op("cpu", (instructions, memory_references,
+                                         working_set_bytes)))
+
+    def mem_alloc(self, nbytes: int) -> float:
+        return self.replay_op(Op("mem_alloc", (nbytes,)))
+
+    def mem_copy(self, nbytes: int) -> float:
+        return self.replay_op(Op("mem_copy", (nbytes,)))
+
+    def disk_read(self, nbytes: int) -> float:
+        return self.replay_op(Op("disk_read", (nbytes,)))
+
+    def disk_write(self, nbytes: int) -> float:
+        return self.replay_op(Op("disk_write", (nbytes,)))
+
+    def syscall_entry(self, base_cost_ns: float) -> float:
+        return self.replay_op(Op("syscall", (base_cost_ns,)))
+
+    def vm_transition(self, cost_ns: float) -> float:
+        return self.replay_op(Op("vm_transition", (cost_ns,)))
+
+    def startup(self, nanos: float) -> float:
+        return self.replay_op(Op("startup", (nanos,)))
+
+    def batch(self) -> OpBatch:
+        """A fresh op batch to fill and pass to :meth:`run_batch`."""
+        return OpBatch()
+
+    def run_batch(self, batch: OpBatch) -> float:
+        """Record every entry of ``batch``, in order."""
+        for ops, count in batch.entries:
+            self.ops.add_seq(ops, count)
+        return 0.0

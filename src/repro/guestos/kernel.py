@@ -20,13 +20,23 @@ slowdown — is why UnixBench shows the largest overheads in the paper.
 from __future__ import annotations
 
 from repro.errors import GuestOsError
-from repro.guestos.context import ExecContext
+from repro.guestos.context import ExecContext, OpRecorder
 from repro.guestos.filesystem import InMemoryFileSystem
 from repro.guestos.pipes import Pipe
 from repro.guestos.process import Process, ProcessTable
 from repro.guestos.scheduler import CONTEXT_SWITCH_NS, RoundRobinScheduler
 from repro.guestos.syscalls import SyscallKind, base_cost_ns
 from repro.sim.opstream import Op
+
+
+#: The ops of one blocking context switch: the counter bump, the native
+#: switch cost, and the platform's halt/wake world switch (priced from
+#: the profile, so emitting it reads no platform state).
+_CONTEXT_SWITCH_OPS = (
+    Op("event", ("context_switches", 1)),
+    Op("syscall", (CONTEXT_SWITCH_NS,)),
+    Op("halt"),
+)
 
 
 class KernelOps:
@@ -37,16 +47,16 @@ class KernelOps:
     without performing the functional operation — the caller does
     functional work separately, then hands the sequence to
     :meth:`KernelBatch.repeat` with an iteration count.  Methods
-    return ``self`` for chaining.
+    return ``self`` for chaining.  The ops are platform-independent:
+    the same sequence prices on any platform.
     """
 
-    __slots__ = ("ops", "syscalls", "switches", "_halt_ns")
+    __slots__ = ("ops", "syscalls", "switches")
 
-    def __init__(self, halt_transition_ns: float) -> None:
+    def __init__(self) -> None:
         self.ops: list[Op] = []
         self.syscalls = 0
         self.switches = 0
-        self._halt_ns = halt_transition_ns
 
     def syscall(self, kind: SyscallKind) -> "KernelOps":
         """Kernel entry for ``kind`` (what :meth:`GuestKernel._enter` charges)."""
@@ -97,10 +107,7 @@ class KernelOps:
     def context_switch(self) -> "KernelOps":
         """Charges of :meth:`GuestKernel.context_switch`."""
         self.switches += 1
-        self.ops.append(Op("event", ("context_switches", 1)))
-        self.ops.append(Op("syscall", (CONTEXT_SWITCH_NS,)))
-        if self._halt_ns > 0:
-            self.ops.append(Op("vm_transition", (self._halt_ns,)))
+        self.ops.extend(_CONTEXT_SWITCH_OPS)
         return self
 
     def cpu_execute(self, instructions: int, memory_references: int = 0,
@@ -143,8 +150,8 @@ class KernelBatch:
         self._switches = 0
 
     def seq(self) -> KernelOps:
-        """A fresh sequence recorder bound to this kernel's platform."""
-        return KernelOps(self.kernel.ctx.profile.halt_transition_ns)
+        """A fresh sequence recorder."""
+        return KernelOps()
 
     def repeat(self, seq: KernelOps, count: int = 1) -> None:
         """Stage ``count`` repetitions of a recorded sequence."""
@@ -164,9 +171,14 @@ class KernelBatch:
 
 
 class GuestKernel:
-    """A guest OS instance bound to one execution context."""
+    """A guest OS instance bound to one execution context.
 
-    def __init__(self, ctx: ExecContext) -> None:
+    Bound to an :class:`~repro.guestos.context.OpRecorder` instead, the
+    kernel performs the same functional work and records its charges
+    for later pricing.
+    """
+
+    def __init__(self, ctx: ExecContext | OpRecorder) -> None:
         self.ctx = ctx
         self.fs = InMemoryFileSystem()
         self.processes = ProcessTable()
@@ -320,10 +332,8 @@ class GuestKernel:
         in addition to the native switch cost.
         """
         self.scheduler.switch_count += 1
-        self.ctx.machine.counters.context_switches += 1
-        self.ctx.syscall_entry(CONTEXT_SWITCH_NS)
-        if self.ctx.profile.halt_transition_ns > 0:
-            self.ctx.vm_transition(self.ctx.profile.halt_transition_ns)
+        for op in _CONTEXT_SWITCH_OPS:
+            self.ctx.replay_op(op)
 
     def pipe_ping_pong(self, rounds: int, payload: int = 512) -> int:
         """UnixBench-style token bounce between two processes.

@@ -89,7 +89,9 @@ class RuntimeSession:
     FaaS workload bodies call these methods; everything funnels into
     the kernel's execution context where the platform profile prices
     it.  The stdout of a function (``log``) is written through the
-    kernel so that logging-heavy workloads pay syscall costs.
+    kernel so that logging-heavy workloads pay syscall costs.  Under a
+    kernel bound to an :class:`~repro.guestos.context.OpRecorder` the
+    same calls record their ops instead (and return ``0.0`` charged).
     """
 
     __slots__ = ("model", "kernel", "ctx", "units_executed", "heap_bytes",

@@ -106,6 +106,44 @@ class TestReachability:
         assert report.findings == []
 
 
+    def test_body_built_through_a_classmethod_is_reachable(self, make_tree):
+        # the FaaS factory builds its launcher with an alternate
+        # constructor, never calling the class directly: the launcher's
+        # methods and the body closure they return are still trial path
+        tree = make_tree({
+            "core/runner.py": RUNNER_STUB,
+            "core/launcher.py": """
+                CACHE = {}
+
+                class Launcher:
+                    def __init__(self, language):
+                        self.language = language
+
+                    @classmethod
+                    def for_language(cls, language):
+                        return cls(language)
+
+                    def launch(self, name):
+                        def body(kernel):
+                            CACHE[name] = kernel
+                            return kernel
+                        return body
+            """,
+            "workloads/w.py": """
+                from repro.core.runner import body_factory
+
+                @body_factory("w")
+                def make_body(spec):
+                    from repro.core.launcher import Launcher
+                    return Launcher.for_language(spec.kind).launch("w")
+            """,
+        })
+        report = lint(tree, entry_points=("repro.core.runner.execute_trial",
+                                          "repro.core.runner.build_body"))
+        assert [(f.rule, f.symbol) for f in report.findings] == [
+            ("purity/module-state-mutation", "Launcher.launch.body")]
+
+
 class TestMutationForms:
     def test_global_statement_flagged(self, make_tree):
         tree = make_tree({"core/runner.py": """

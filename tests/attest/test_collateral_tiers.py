@@ -16,7 +16,7 @@ from repro.attest.tiers import (
     CollateralDoc,
     ZonedCollateral,
 )
-from repro.core.cluster import DEFAULT_ZONES, build_fleet
+from repro.core.cluster import build_fleet
 
 
 def doc(host="h1", zone="z1", platform="tdx"):
@@ -27,14 +27,14 @@ class TestProtocol:
     """The counter keys every sweep's ``ClusterReport.collateral`` holds."""
 
     def test_standard_hit_keys(self):
-        tier = ZonedCollateral(("z1",))
+        tier = ZonedCollateral()
         assert tuple(tier.hits) == ZonedCollateral.HIT_KEYS
         assert all(count == 0 for count in tier.hits.values())
 
 
 class TestZonedCollateral:
     def test_cold_fetch_warms_cdn_then_host(self):
-        tier = ZonedCollateral(("z1",))
+        tier = ZonedCollateral()
         first = tier.fetch(doc(), 0.0)
         assert first.tier == "origin"
         assert first.cost_ns == ORIGIN_TIER_NS
@@ -49,7 +49,7 @@ class TestZonedCollateral:
         assert tier.hits["host"] == 1
 
     def test_tiers_warm_on_the_way_through(self):
-        tier = ZonedCollateral(("z1", "z2"))
+        tier = ZonedCollateral()
         # cold everywhere: origin, warming CDN + host
         assert tier.fetch(doc(), 0.0).cost_ns == ORIGIN_TIER_NS
         # same host again: host tier
@@ -59,14 +59,14 @@ class TestZonedCollateral:
                              "local": 0}
 
     def test_cdn_tier_for_zone_sibling(self):
-        tier = ZonedCollateral(("z1", "z2"))
+        tier = ZonedCollateral()
         tier.fetch(doc(host="a"), 0.0)                           # origin
         assert tier.fetch(doc(host="b"), 0.0).tier == "cdn"
         # a host in another zone does not see z1's replica
         assert tier.fetch(doc(host="c", zone="z2"), 0.0).tier == "origin"
 
     def test_outage_serves_stale_when_cdn_warm(self):
-        tier = ZonedCollateral(("z1",))
+        tier = ZonedCollateral()
         tier.fetch(doc(), 0.0)                                   # warm CDN
         tier.outages["z1"] = (10.0, 100.0)
         hit = tier.fetch(doc(host="sibling"), 50.0)
@@ -76,14 +76,14 @@ class TestZonedCollateral:
         assert tier.fetch(doc(host="late"), 100.0).tier == "cdn"
 
     def test_outage_with_cold_cdn_fails_the_boot(self):
-        tier = ZonedCollateral(("z1",))
+        tier = ZonedCollateral()
         tier.outages["z1"] = (0.0, 100.0)
         assert tier.fetch(doc(), 50.0) is None
         assert tier.hits["outage_failures"] == 1
         assert not tier.cdn_warm and not tier.host_warm
 
     def test_non_networked_platform_is_local_and_free(self):
-        tier = ZonedCollateral(("z1",))
+        tier = ZonedCollateral()
         hit = tier.fetch(doc(platform="cca"), 0.0)
         assert hit.tier == "local" and hit.cost_ns == 0.0
         assert tier.hits["local"] == 1
@@ -91,7 +91,7 @@ class TestZonedCollateral:
     def test_cca_has_nothing_to_fetch(self):
         # a fleet host, addressed the way the cluster gateway does
         profile = build_fleet(1)[0]
-        tier = ZonedCollateral(DEFAULT_ZONES)
+        tier = ZonedCollateral()
         hit = tier.fetch(CollateralDoc(platform="cca", host=profile.name,
                                        zone=profile.zone), 0.0)
         assert hit.cost_ns == 0.0

@@ -2,11 +2,17 @@
 
 import pytest
 
-from repro.errors import GuestOsError
-from repro.guestos.context import CostProfile, ExecContext
+from repro.errors import GuestOsError, RecordingAccessError
+from repro.guestos.context import (
+    PRICING_STATE,
+    CostProfile,
+    ExecContext,
+    OpRecorder,
+)
 from repro.guestos.kernel import GuestKernel
 from repro.hw.machine import xeon_gold_5515
 from repro.sim.ledger import CostCategory
+from repro.sim.opstream import Op
 from repro.sim.rng import SimRng
 
 
@@ -205,3 +211,50 @@ class TestGuestKernel:
         kernel = self.make_kernel()
         kernel.context_switch()
         assert kernel.ctx.machine.counters.context_switches == 1
+
+
+class TestOpRecorder:
+    @pytest.mark.parametrize("attribute", sorted(PRICING_STATE))
+    def test_pricing_state_access_raises_typed_error(self, attribute):
+        with pytest.raises(RecordingAccessError) as excinfo:
+            getattr(OpRecorder(), attribute)
+        assert excinfo.value.attribute == attribute
+        assert f"ctx.{attribute}" in str(excinfo.value)
+
+    def test_covers_what_an_emitter_could_read(self):
+        assert {"clock", "rng", "ledger", "profile", "machine", "faults",
+                "trace"} <= PRICING_STATE
+
+    def test_other_missing_attributes_stay_attribute_errors(self):
+        with pytest.raises(AttributeError):
+            OpRecorder().elapsed_ns
+
+    def test_kernel_clock_read_raises_while_recording(self):
+        with pytest.raises(RecordingAccessError, match="ctx.clock"):
+            GuestKernel(OpRecorder()).sys_clock_gettime()
+
+    def test_records_calls_and_batch_entries_in_order(self):
+        recorder = OpRecorder()
+        assert recorder.cpu_execute(10, 2, 64) == 0.0
+        recorder.disk_write(4096)
+        staged = recorder.batch()
+        staged.add_seq((Op("syscall", (320.0,)), Op("mem_copy", (8,))), 3)
+        assert recorder.run_batch(staged) == 0.0
+        recorder.startup(5.0)
+        assert recorder.ops.entries == [
+            ((Op("cpu", (10, 2, 64)),), 1),
+            ((Op("disk_write", (4096,)),), 1),
+            ((Op("syscall", (320.0,)), Op("mem_copy", (8,))), 3),
+            ((Op("startup", (5.0,)),), 1),
+        ]
+
+    def test_context_switch_emits_a_platform_independent_halt(self):
+        recorder = OpRecorder()
+        GuestKernel(recorder).context_switch()
+        assert [ops for ops, _ in recorder.ops.entries][-1] == (Op("halt"),)
+        tee = make_ctx(CostProfile(noise_sigma=0.0, halt_transition_ns=900.0))
+        native = make_ctx()
+        assert tee.price_op(Op("halt")) == (
+            ((CostCategory.VM_TRANSITION, 900.0),),
+            (("vm_transitions", 1),))
+        assert native.price_op(Op("halt")) == ((), ())

@@ -1,6 +1,6 @@
 """Batch-vs-per-op byte-identity: the op-stream kernel's contract.
 
-Three layers of evidence that the batched kernel is *bit-identical*
+Four layers of evidence that the batched kernel is *bit-identical*
 to per-op charging:
 
 1. Random op streams replayed through ``ExecContext.run_batch`` vs
@@ -8,7 +8,11 @@ to per-op charging:
    equality, across noise sigmas and platform profiles.
 2. The UnixBench suite's ``engine="batch"`` vs ``engine="perop"`` —
    identical scores, system index, and kernel-side state.
-3. Goldens captured from the *pre-refactor* per-op implementation —
+3. Generated sequences of runtime-session and guest-kernel calls
+   recorded through an ``OpRecorder`` and priced with one
+   ``run_batch`` vs issued live — on every hardware TEE, secure and
+   normal (the record-once, price-many path FaaS trials take).
+4. Goldens captured from the *pre-refactor* per-op implementation —
    full trial-runner artifacts (result dicts, metrics snapshots,
    Chrome traces) must reproduce byte-for-byte, serial and with two
    worker processes.
@@ -20,15 +24,19 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import TrialPlan
 from repro.core.runner import TrialRunner
-from repro.guestos.context import CostProfile, ExecContext
+from repro.errors import ConfBenchError
+from repro.guestos.context import CostProfile, ExecContext, OpRecorder
 from repro.guestos.kernel import GuestKernel
 from repro.hw.machine import xeon_gold_5515
 from repro.obs.export import TraceExporter
+from repro.runtimes import RUNTIME_NAMES, RuntimeSession, runtime_by_name
 from repro.sim.opstream import Op
 from repro.sim.rng import SimRng
+from repro.tee.registry import platform_by_name
 from repro.workloads.unixbench.suite import run_unixbench
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "goldens"
@@ -152,6 +160,136 @@ class TestUnixbenchEngines:
                 context_state(ctx),
             )
         assert results["batch"] == results["perop"]
+
+
+_SESSION_CALLS = st.one_of(
+    st.tuples(st.just("compute"), st.integers(0, 50_000),
+              st.integers(0, 1 << 20)),
+    st.tuples(st.just("allocate"), st.integers(0, 1 << 20)),
+    st.tuples(st.just("release"), st.integers(0, 1 << 20)),
+    st.tuples(st.just("log"), st.integers(0, 60)),
+)
+
+#: KernelOps builders a generated KernelBatch sequence draws from
+_KERNEL_SEQ_KINDS = ("read", "cached_read", "write", "pipe_write",
+                     "pipe_read", "fork", "exec", "context_switch")
+
+_CALLS = st.lists(st.one_of(
+    _SESSION_CALLS,
+    st.tuples(st.just("session_batch"), st.lists(_SESSION_CALLS,
+                                                  max_size=6)),
+    st.tuples(st.just("compute_batch"), st.integers(0, 5_000),
+              st.integers(0, 20)),
+    st.tuples(st.just("log_batch"), st.integers(0, 60), st.integers(0, 20)),
+    st.tuples(st.just("kernel_batch"),
+              st.lists(st.sampled_from(_KERNEL_SEQ_KINDS), min_size=1,
+                       max_size=5),
+              st.integers(1, 30), st.integers(1, 1 << 16)),
+    st.tuples(st.just("context_switch")),
+    st.tuples(st.just("write_file"), st.integers(0, 2),
+              st.integers(0, 1 << 16)),
+    st.tuples(st.just("read_file"), st.integers(0, 2)),
+    st.tuples(st.just("delete_file"), st.integers(0, 2)),
+), max_size=25)
+
+
+def _apply_session_call(target, call) -> None:
+    """One compute/allocate/release/log on a session or SessionBatch."""
+    kind, *args = call
+    if kind == "compute":
+        target.compute(args[0], working_set_bytes=args[1])
+    elif kind == "allocate":
+        target.allocate(args[0])
+    elif kind == "release":
+        target.release(args[0])
+    else:
+        target.log("m" * args[0])
+
+
+def issue_calls(session: RuntimeSession, calls) -> list:
+    """Issue ``calls``; returns everything they observably produce
+    other than charged nanoseconds (which a recorder cannot know)."""
+    kernel = session.kernel
+    out: list = []
+    for call in calls:
+        kind, *args = call
+        try:
+            if kind in ("compute", "allocate", "release", "log"):
+                _apply_session_call(session, call)
+            elif kind == "session_batch":
+                staged = session.batch()
+                for sub in args[0]:
+                    _apply_session_call(staged, sub)
+                staged.commit()
+            elif kind == "compute_batch":
+                session.compute_batch(args[0], args[1])
+            elif kind == "log_batch":
+                session.log_batch("m" * args[0], args[1])
+            elif kind == "kernel_batch":
+                kinds, count, nbytes = args
+                staged = kernel.batch()
+                seq = staged.seq()
+                for seq_kind in kinds:
+                    if seq_kind == "cached_read":
+                        seq.read(nbytes, cached=True)
+                    elif seq_kind in ("fork", "exec", "context_switch"):
+                        getattr(seq, seq_kind)()
+                    else:
+                        getattr(seq, seq_kind)(nbytes)
+                staged.repeat(seq, count)
+                staged.commit()
+            elif kind == "context_switch":
+                kernel.context_switch()
+            elif kind == "write_file":
+                data = bytes(range(256)) * (args[1] // 256 + 1)
+                out.append(session.write_file(f"/f{args[0]}",
+                                              data[:args[1]]))
+            elif kind == "read_file":
+                out.append(session.read_file(f"/f{args[0]}"))
+            else:
+                out.append(session.delete_file(f"/f{args[0]}"))
+        except ConfBenchError as exc:
+            out.append(type(exc).__name__)
+    out.append((session.gc_runs, session.stdout_lines, session.heap_bytes,
+                session.units_executed, kernel.syscall_count,
+                kernel.scheduler.switch_count))
+    return out
+
+
+class TestRecordedCallStreams:
+    """Recording session/kernel calls, then pricing the recording with
+    one ``run_batch``, equals issuing the same calls live."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(platform=st.sampled_from(("tdx", "sev-snp", "cca")),
+           secure=st.booleans(),
+           runtime=st.sampled_from(RUNTIME_NAMES),
+           seed=st.integers(0, 1 << 16),
+           calls=_CALLS)
+    def test_recorded_then_priced_equals_live(self, platform, secure,
+                                              runtime, seed, calls):
+        tee = platform_by_name(platform, seed=seed)
+        model = runtime_by_name(runtime)
+
+        def context() -> ExecContext:
+            return ExecContext(machine=tee.build_machine(),
+                               profile=tee.profile_for(secure),
+                               rng=SimRng(seed))
+
+        live = context()
+        session = RuntimeSession(model, GuestKernel(live))
+        session.bootstrap()
+        live_out = issue_calls(session, calls)
+
+        recorder = OpRecorder()
+        session = RuntimeSession(model, GuestKernel(recorder))
+        session.bootstrap()
+        recorded_out = issue_calls(session, calls)
+        priced = context()
+        priced.run_batch(recorder.ops)
+
+        assert recorded_out == live_out
+        assert context_state(priced) == context_state(live)
 
 
 def canonical_artifacts(runner: TrialRunner, results) -> str:
