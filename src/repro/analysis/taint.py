@@ -219,10 +219,12 @@ DEFAULT_TAINT_SPEC = TaintSpec(
     sources=(
         SourceSpec(match="qual:repro.attest.crypto.generate_keypair",
                    kind="key-material", container=False,
-                   fields=(("d", "key-material"), ("public", None))),
+                   fields=(("d", "key-material"), ("p", "key-material"),
+                           ("q", "key-material"), ("public", None))),
         SourceSpec(match="qual:repro.attest.crypto.derived_keypair",
                    kind="key-material", container=False,
-                   fields=(("d", "key-material"), ("public", None))),
+                   fields=(("d", "key-material"), ("p", "key-material"),
+                           ("q", "key-material"), ("public", None))),
         SourceSpec(match="attr:read_file", kind="guest-data"),
         SourceSpec(match="attr:read_all", kind="guest-data"),
         SourceSpec(match="attr:measurement_for", kind="measurement"),
@@ -272,6 +274,8 @@ DEFAULT_TAINT_SPEC = TaintSpec(
     ),
     class_fields=(
         ("RsaKeyPair", "d", "key-material"),
+        ("RsaKeyPair", "p", "key-material"),
+        ("RsaKeyPair", "q", "key-material"),
         ("QuotingEnclave", "_pck_key", "key-material"),
         ("QuotingEnclave", "_attestation_key", "key-material"),
         ("AmdKeyInfrastructure", "_vcek_key", "key-material"),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import hashlib
+import math
 
 from repro.errors import AttestationError
 from repro.sim.rng import SimRng
@@ -30,9 +31,36 @@ _SMALL_PRIMES = (
     67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
 )
 
+#: exclusive bound on the primes in :data:`_SIEVE_PRODUCT`
+_SIEVE_BOUND = 4096
+
+
+def _odd_prime_product(bound: int) -> int:
+    """The product of the odd primes below ``bound``."""
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+    return math.prod(p for p in range(3, bound, 2) if sieve[p])
+
+
+#: product of the odd primes below :data:`_SIEVE_BOUND` (~5,800 bits,
+#: well under a millisecond to build at import)
+_SIEVE_PRODUCT = _odd_prime_product(_SIEVE_BOUND)
+
 
 def _is_probable_prime(n: int, rng: SimRng, rounds: int = 24) -> bool:
-    """Miller–Rabin primality test."""
+    """Miller–Rabin primality test.
+
+    ``g = gcd(n, P)`` collects the small odd prime factors of ``n``.
+    A round whose base ``a`` fails Fermat's test modulo ``g`` returns
+    False without the full-size ``pow``: a strong liar ``a`` has
+    ``a^(n-1) = 1 (mod n)``, hence modulo every divisor of ``n``, so
+    the full round would have returned False too.  Each round still
+    draws its ``a``, so the verdict and the stream's draws are those of
+    the plain test.
+    """
     if n < 2:
         return False
     if n == 2:
@@ -44,6 +72,7 @@ def _is_probable_prime(n: int, rng: SimRng, rounds: int = 24) -> bool:
             return True
         if n % p == 0:
             return False
+    g = math.gcd(n, _SIEVE_PRODUCT)
     # write n - 1 = d * 2^r with d odd
     d = n - 1
     r = 0
@@ -52,6 +81,8 @@ def _is_probable_prime(n: int, rng: SimRng, rounds: int = 24) -> bool:
         r += 1
     for _ in range(rounds):
         a = rng.randint(2, n - 2)
+        if g > 1 and pow(a % g, n - 1, g) != 1:
+            return False
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -109,23 +140,35 @@ class RsaPublicKey:
 
 @dataclass(frozen=True, repr=False)
 class RsaKeyPair:
-    """An RSA key pair; keep the private exponent private."""
+    """An RSA key pair; keep the private exponent and primes private."""
 
     public: RsaPublicKey
     d: int
+    #: the prime factors of ``public.n``
+    p: int
+    q: int
 
     def __repr__(self) -> str:
-        # never include d: a stray repr in a log line, exception
+        # never include d, p or q: a stray repr in a log line, exception
         # message, or journal record must not leak the private half
         return (f"RsaKeyPair(fingerprint={self.public.fingerprint()}, "
                 f"bits={self.public.bits})")
 
     def sign(self, message: bytes) -> bytes:
-        """PKCS#1 v1.5-style SHA-384 signature of ``message``."""
+        """PKCS#1 v1.5-style SHA-384 signature of ``message``.
+
+        ``padded^d mod n`` by the Chinese remainder theorem: two
+        half-size exponentiations modulo ``p`` and ``q`` and Garner's
+        recombination give the same integer, at about a quarter of the
+        cost.
+        """
         k = self.public.byte_length
         padded = int.from_bytes(_pad_digest(message, k), "big")
-        signature = pow(padded, self.d, self.public.n)
-        return signature.to_bytes(k, "big")
+        p, q = self.p, self.q
+        m_p = pow(padded, self.d % (p - 1), p)
+        m_q = pow(padded, self.d % (q - 1), q)
+        h = (m_p - m_q) * pow(q, -1, p) % p
+        return (m_q + h * q).to_bytes(k, "big")
 
 
 def _pad_digest(message: bytes, k: int) -> bytes:
@@ -170,7 +213,7 @@ def generate_keypair(rng: SimRng, bits: int = 1024, e: int = 65537) -> RsaKeyPai
             d = pow(e, -1, phi)
         except ValueError:
             continue   # e not invertible mod phi; rare, retry
-        return RsaKeyPair(public=RsaPublicKey(n=n, e=e), d=d)
+        return RsaKeyPair(public=RsaPublicKey(n=n, e=e), d=d, p=p, q=q)
 
 
 #: Process-level cache for :func:`derived_keypair`.  Keyed by the

@@ -55,6 +55,8 @@ class FunctionStore:
             raise GatewayError(f"unsupported languages: {sorted(unknown)}")
         existing = self._functions.get(workload.name)
         if existing is not None:
+            # a re-upload replaces the function and widens its languages
+            existing.workload = workload
             existing.uploads += 1
             existing.languages = tuple(sorted(set(existing.languages) | set(langs)))
             return existing

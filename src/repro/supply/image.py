@@ -48,17 +48,22 @@ def sha256_digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _expand(seed: bytes, size: int) -> bytes:
-    """Deterministically expand ``seed`` to ``size`` pseudo-bytes.
+def _expand(seed: bytes, size: int, first_block: int = 0) -> bytes:
+    """Deterministically expand ``seed`` to ``size`` pseudo-bytes: the
+    blocks ``sha256(seed || block_index)`` from ``first_block`` on.
 
     Layer content must be deterministic (byte-identical serial vs
     parallel) and cheap; hashing a 32-byte seed per 32-byte block is
-    far faster than drawing every byte through the RNG.
+    far faster than drawing every byte through the RNG.  ``seed`` is
+    hashed once and each block resumes from a copy of that state,
+    which gives the same digest as hashing the concatenation.
     """
+    base = hashlib.sha256(seed)
     blocks = []
-    for index in range((size + _KS_BLOCK - 1) // _KS_BLOCK):
-        blocks.append(hashlib.sha256(
-            seed + index.to_bytes(8, "big")).digest())
+    for index in range(first_block, first_block + -(-size // _KS_BLOCK)):
+        block = base.copy()
+        block.update(index.to_bytes(8, "big"))
+        blocks.append(block.digest())
     return b"".join(blocks)[:size]
 
 
@@ -67,18 +72,16 @@ def keystream_xor(data: bytes, key: bytes, offset: int = 0) -> bytes:
 
     XOR with ``sha256(key || block_index)`` blocks.  ``offset`` must be
     block-aligned so chunks decrypt independently of their neighbours.
+    The XOR runs on ``data`` and the keystream read as two big-endian
+    integers of ``len(data)`` bytes: one C-level operation.
     """
     if offset % _KS_BLOCK:
         raise SupplyChainError(
             f"keystream offset must be {_KS_BLOCK}-byte aligned, "
             f"got {offset}")
-    first_block = offset // _KS_BLOCK
-    blocks = []
-    for index in range((len(data) + _KS_BLOCK - 1) // _KS_BLOCK):
-        blocks.append(hashlib.sha256(
-            key + (first_block + index).to_bytes(8, "big")).digest())
-    stream = b"".join(blocks)[:len(data)]
-    return bytes(a ^ b for a, b in zip(data, stream))
+    stream = _expand(key, len(data), offset // _KS_BLOCK)
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(stream, "big")).to_bytes(len(data), "big")
 
 
 @dataclass(frozen=True)

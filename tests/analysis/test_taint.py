@@ -146,6 +146,39 @@ def test_field_sensitivity_public_clean_d_tainted(make_tree):
     assert [f.symbol for f in findings] == ["logs_private"]
 
 
+def test_private_primes_are_key_material(make_tree):
+    findings = _taint_findings(make_tree, {"primes.py": """
+        import logging
+
+        from repro.attest.crypto import derived_keypair, generate_keypair
+
+
+        def logs_p(rng):
+            pair = derived_keypair(rng, "leak")
+            logging.info("p=%d", pair.p)               # finding
+
+
+        def logs_q(rng):
+            pair = generate_keypair(rng)
+            logging.info("q=%d", pair.q)               # finding
+    """})
+    assert [(f.rule, f.symbol) for f in findings] == [
+        ("taint/log", "logs_p"), ("taint/log", "logs_q")]
+
+
+def test_class_field_prime_repr_leak_detected(make_tree):
+    findings = _taint_findings(make_tree, {"pair.py": """
+        class RsaKeyPair:
+            def __init__(self, public, p):
+                self.public = public
+                self.p = p
+
+            def __repr__(self):
+                return f"RsaKeyPair(p={self.p})"
+    """})
+    assert [f.rule for f in findings] == ["taint/repr"]
+
+
 def test_propagation_through_pipeline_helper(make_tree):
     findings = _taint_findings(make_tree, {
         "helpers.py": """

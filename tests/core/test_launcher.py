@@ -129,6 +129,19 @@ def test_upload_custom_of_another_function_records_afresh():
     assert outputs[1][1] > outputs[0][1]
 
 
+def test_reupload_under_the_same_name_replaces_the_function():
+    config = GatewayConfig(entries=[
+        PlatformEntry(platform="tdx", host="xeon", base_port=9100)],
+        default_trials=1)
+    gateway = Gateway(config)
+    for value in (1, 2):
+        gateway.upload_custom(_custom("custom", value))
+    (record,) = gateway.invoke(InvocationRequest(
+        function="custom", language="python", platform="tdx"))
+    assert record.output["result"] == {"value": 2}
+    assert gateway.store.get("custom").uploads == 2
+
+
 def test_mutating_a_trial_output_does_not_leak():
     workload = registry.workload_by_name("factors")
     body = FunctionLauncher.for_language("go").launch(workload)

@@ -8,7 +8,10 @@ typed :class:`~repro.errors.ImageVerificationError` before anything
 reaches the guest filesystem.
 """
 
+import hashlib
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.attest.crypto import derived_keypair
 from repro.errors import ImageVerificationError, SupplyChainError
@@ -27,6 +30,7 @@ from repro.supply import (
     sign_image,
     verify_image_signature,
 )
+from repro.supply.image import _expand
 
 
 def make_ctx(seed=1):
@@ -87,6 +91,57 @@ class TestImageModel:
         with pytest.raises(ImageVerificationError):
             verify_image_signature(bundle.manifest, None,
                                    publisher.public, make_ctx())
+
+
+def ref_expand(seed: bytes, size: int, first_block: int = 0) -> bytes:
+    """One ``sha256(seed || index)`` call per 32-byte block."""
+    blocks = []
+    for index in range((size + 31) // 32):
+        blocks.append(hashlib.sha256(
+            seed + (first_block + index).to_bytes(8, "big")).digest())
+    return b"".join(blocks)[:size]
+
+
+def ref_keystream_xor(data: bytes, key: bytes, offset: int = 0) -> bytes:
+    """The per-byte XOR against :func:`ref_expand`'s stream."""
+    stream = ref_expand(key, len(data), offset // 32)
+    return bytes(a ^ b for a, b in zip(data, stream))
+
+
+keys = st.binary(min_size=32, max_size=32)
+
+
+class TestKeystreamExactness:
+    """The word-wide XOR and the hash-once block generator against the
+    per-byte, hash-per-block reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=700), key=keys,
+           block=st.integers(min_value=0, max_value=2**40))
+    @example(data=b"", key=b"\0" * 32, block=0)
+    @example(data=b"\0" * 70, key=b"\xff" * 32, block=1)
+    def test_keystream_xor_matches_bytewise_reference(self, data, key,
+                                                      block):
+        offset = 32 * block
+        assert keystream_xor(data, key, offset) == ref_keystream_xor(
+            data, key, offset)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=keys, size=st.integers(min_value=0, max_value=3000))
+    def test_expand_matches_reference(self, seed, size):
+        assert _expand(seed, size) == ref_expand(seed, size)
+
+    def test_leading_zero_bytes_survive(self):
+        key = SimRng(6, "key").bytes(32)
+        stream = ref_expand(key, 96, 5)
+        assert keystream_xor(stream, key, 5 * 32) == bytes(96)
+
+    def test_whole_sealed_chunk_matches_reference(self):
+        key = SimRng(6, "key").bytes(32)
+        chunk = SimRng(6, "data").bytes(CHUNK_BYTES)
+        offset = 3 * CHUNK_BYTES
+        assert keystream_xor(chunk, key, offset) == ref_keystream_xor(
+            chunk, key, offset)
 
 
 class TestPullStrategies:
